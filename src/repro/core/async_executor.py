@@ -8,6 +8,12 @@ run as tasks, so an entire priority class of IO-bound actions overlaps
 in one thread while the existing ``SerialExecutor``/``ThreadedExecutor``
 lanes keep serving sync rules.
 
+The lane has no rule body of its own: ``RuleScheduler._run_async`` is a
+thin driver over the scheduler's one ``cond_action`` generator, which
+yields only the action's awaitable. Depth limit, subtransactions, error
+policy, ``$RULE`` meta-events, listener phases, spans and stats are the
+sync lane's code, run on the loop thread.
+
 Two pieces make the lane safe without touching the synchronous hot path:
 
 * **Per-task state isolation** (:func:`isolate`). The scheduler keeps

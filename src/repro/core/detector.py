@@ -743,6 +743,12 @@ class LocalEventDetector:
         if self.collect_mode:
             self.collected.extend(frame)
             return
+        for activation in frame:
+            if activation.rule.coupling is CouplingMode.DETACHED:
+                break
+        else:  # nothing detached: the common case, no split
+            self.scheduler.run(frame)
+            return
         immediate = [
             a for a in frame if a.rule.coupling is not CouplingMode.DETACHED
         ]

@@ -24,6 +24,7 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from itertools import groupby
+from operator import itemgetter
 from time import perf_counter
 from typing import TYPE_CHECKING, Callable, Optional
 
@@ -33,7 +34,6 @@ from repro.errors import RuleExecutionError
 from repro.faults import registry as faults
 from repro.faults.retry import DETERMINISTIC_POLICY, call_with_retry
 from repro.telemetry.events import ConditionEvaluated, RuleExecution
-from repro.telemetry.hub import TelemetrySpan
 from repro.transactions.nested import NestedTransaction, NestedTransactionManager
 
 if TYPE_CHECKING:
@@ -176,20 +176,21 @@ class RuleScheduler:
         if len(activations) == 1:
             # One trigger is by far the common case on the hot path;
             # sorting and grouping a singleton costs more than the
-            # dispatch itself. (run_one routes async rules itself.)
-            self.executor.execute(activations, self.run_one)
+            # dispatch itself, and every executor runs a lone
+            # activation on the calling thread. (run_one routes async
+            # rules itself.)
+            self.run_one(activations[0])
             return
         # Resolve named priority classes through the detector's scheme
         # at dispatch time, so re-ranking a class takes effect
         # immediately (paper §3.1).
         rank = self._detector.priorities.rank
-        ordered = sorted(
-            activations, key=lambda a: -rank(a.rule.priority)
+        ranked = sorted(
+            [(rank(a.rule.priority), a) for a in activations],
+            key=itemgetter(0), reverse=True,
         )  # stable: trigger order preserved within a class
-        for __, group in groupby(
-            ordered, key=lambda a: rank(a.rule.priority)
-        ):
-            self._run_class(list(group))
+        for __, group in groupby(ranked, key=itemgetter(0)):
+            self._run_class([a for __, a in group])
 
     def _run_class(self, group: list[RuleActivation]) -> None:
         """One priority class, split across lanes.
@@ -257,7 +258,7 @@ class RuleScheduler:
 
         hub_local = self._detector.telemetry._local
         return isolate(
-            self._run_one_async(activation),
+            self._run_async(activation),
             [
                 (self._detector._local, "txn", None),
                 (self._local, "depth", self._depth()),
@@ -268,7 +269,8 @@ class RuleScheduler:
         )
 
     def run_one(self, activation: RuleActivation) -> None:
-        """Fig. 3's ``cond_action``: condition+action in a subtransaction."""
+        """Run one activation to completion, blocking the calling
+        thread (async rules run on the lane while it waits)."""
         if activation.rule.executor == "async":
             # Route singleton/detached async activations to the lane,
             # blocking this thread until the coroutine completes so the
@@ -277,98 +279,45 @@ class RuleScheduler:
             # from blocking on itself.
             lane = self.async_lane.route()
             return lane.run(self._isolated(activation))
-        telemetry = self._detector.telemetry
-        if not telemetry.active:
-            return self._run_one(activation, None)
-        rule = activation.rule
-        with telemetry.span(
-            RuleExecution,
-            parent_id=activation.parent_span_id,
-            trace_id=activation.trace_id,
-            rule_name=rule.name,
-            coupling=rule.coupling.value,
-            depth=self._depth() + 1,
-        ) as span:
-            return self._run_one(activation, span)
+        for __ in self._cond_action(activation, False):
+            pass  # the sync lane never yields
 
-    def _run_one(self, activation: RuleActivation,
-                 span: Optional[TelemetrySpan]) -> None:
-        rule = activation.rule
-        depth = self._depth() + 1
-        if depth > self.MAX_DEPTH:
-            if span is not None:
-                # Not counted as a rule failure: the error is charged to
-                # the triggering rule whose action caused the recursion.
-                span.set(outcome="depth_exceeded")
-            raise RuleExecutionError(
-                rule.name,
-                "nesting",
-                RecursionError(f"rule nesting exceeded {self.MAX_DEPTH}"),
-            )
-        self.stats.max_depth_seen = max(self.stats.max_depth_seen, depth)
-        sub = None
-        if self.txn_manager is not None and activation.parent_txn is not None:
-            sub = self.txn_manager.begin_sub(
-                activation.parent_txn, label=f"rule:{rule.name}"
-            )
-        previous_txn = self._detector.current_transaction()
-        previous_rule = self.current_rule()
-        self._detector.set_current_transaction(sub or activation.parent_txn)
-        self._local.depth = depth
-        self._local.rule = rule
-        self._notify("start", rule, activation.occurrence, depth=depth)
-        try:
-            # "The rule class can be both reactive and notifiable":
-            # executing a rule is itself a potential primitive event
-            # (class $RULE, method = rule name), enabling meta-rules.
-            self._signal_rule_event(rule, "begin")
-            executed = self._evaluate(rule, activation.occurrence, span)
-            self._signal_rule_event(rule, "end")
-            if sub is not None:
-                if span is not None:
-                    commit_start = perf_counter()
-                    sub.commit()
-                    span.set(
-                        commit_ms=(perf_counter() - commit_start) * 1000.0
-                    )
-                else:
-                    sub.commit()
-            if span is not None:
-                span.set(outcome="completed" if executed else "rejected")
-            self._notify("done", rule, activation.occurrence, depth=depth)
-        except Exception as exc:
-            if sub is not None:
-                sub.abort()
-            error = exc if isinstance(exc, RuleExecutionError) else (
-                RuleExecutionError(rule.name, "execution", exc)
-            )
-            self.stats.failures += 1
-            self.errors.append(error)
-            if span is not None:
-                span.set(outcome="failed")
-            self._notify("failed", rule, activation.occurrence,
-                         depth=depth, error=error)
-            if self.error_policy == "raise":
-                raise error from exc
-        finally:
-            self._local.depth = depth - 1
-            self._local.rule = previous_rule
-            self._detector.set_current_transaction(previous_txn)
+    async def _run_async(self, activation: RuleActivation) -> None:
+        """Drive :meth:`_cond_action` on the asyncio lane, awaiting the
+        one awaitable it may yield (the action's result)."""
+        core = self._cond_action(activation, True)
+        for awaitable in core:
+            try:
+                await awaitable
+            except BaseException as exc:  # noqa: BLE001 — handed to core
+                # Raised at the yield, so the core's error policy,
+                # subtransaction abort and listener phases apply.
+                try:
+                    core.throw(exc)
+                except StopIteration:
+                    pass
+                return
 
-    # -- the async lane's coroutine twins ---------------------------------
-    #
-    # _run_one_async/_evaluate_async mirror run_one/_run_one/_evaluate
-    # statement for statement (keep them in lockstep when editing!):
-    # same subtransaction bracketing, depth bookkeeping, error policy,
-    # $RULE meta-events and telemetry, with exactly one difference —
-    # the action's awaitable is awaited, so the tasks of one priority
-    # class interleave on the lane's loop while each individual rule
-    # still runs its setup/commit synchronously within a step.
+    def _cond_action(self, activation: RuleActivation, on_lane: bool):
+        """Fig. 3's ``cond_action``: the one rule body every route runs.
 
-    async def _run_one_async(self, activation: RuleActivation) -> None:
+        Condition (signalling suppressed), then action, inside a
+        subtransaction of the triggering transaction, with the $RULE
+        begin/end meta-events, the error policy, listener phases, the
+        ``RuleExecution`` span and the stats. A generator so the sync
+        executors and the asyncio lane share it: on the lane
+        (``on_lane``) an awaitable action result is yielded for the
+        driver to await; the sync lane never yields. Every optional
+        piece is skipped with one test when it has nothing to do.
+        """
         rule = activation.rule
-        telemetry = self._detector.telemetry
+        occurrence = activation.occurrence
+        detector = self._detector
+        slocal = self._local
+        dlocal = detector._local
+        depth = getattr(slocal, "depth", 0) + 1
         span = None
+        telemetry = detector.telemetry
         if telemetry.active:
             span = telemetry.span(
                 RuleExecution,
@@ -376,199 +325,134 @@ class RuleScheduler:
                 trace_id=activation.trace_id,
                 rule_name=rule.name,
                 coupling=rule.coupling.value,
-                depth=self._depth() + 1,
-                lane="async",
+                depth=depth,
+                lane="async" if on_lane else "sync",
             )
         try:
-            depth = self._depth() + 1
             if depth > self.MAX_DEPTH:
                 if span is not None:
+                    # Not counted as a rule failure: the error is charged
+                    # to the triggering rule whose action recursed.
                     span.set(outcome="depth_exceeded")
                 raise RuleExecutionError(
                     rule.name,
                     "nesting",
-                    RecursionError(
-                        f"rule nesting exceeded {self.MAX_DEPTH}"
-                    ),
+                    RecursionError(f"rule nesting exceeded {self.MAX_DEPTH}"),
                 )
-            self.stats.max_depth_seen = max(
-                self.stats.max_depth_seen, depth
-            )
+            stats = self.stats
+            if stats.max_depth_seen < depth:
+                stats.max_depth_seen = depth
             sub = None
-            if (
-                self.txn_manager is not None
-                and activation.parent_txn is not None
-            ):
+            if self.txn_manager is not None \
+                    and activation.parent_txn is not None:
                 sub = self.txn_manager.begin_sub(
                     activation.parent_txn, label=f"rule:{rule.name}"
                 )
-            previous_txn = self._detector.current_transaction()
-            previous_rule = self.current_rule()
-            self._detector.set_current_transaction(
-                sub or activation.parent_txn
-            )
-            self._local.depth = depth
-            self._local.rule = rule
-            self._notify("start", rule, activation.occurrence, depth=depth)
+            previous_txn = getattr(dlocal, "txn", None)
+            previous_rule = getattr(slocal, "rule", None)
+            dlocal.txn = sub or activation.parent_txn
+            slocal.depth = depth
+            slocal.rule = rule
+            listeners = self.listeners  # mutated in place, never rebound
+            if listeners:
+                self._notify("start", rule, occurrence, depth=depth)
+            class_index = detector.graph._class_index
             try:
-                self._signal_rule_event(rule, "begin")
-                executed = await self._evaluate_async(
-                    rule, activation.occurrence, span
-                )
-                self._signal_rule_event(rule, "end")
+                # "The rule class can be both reactive and notifiable":
+                # executing a rule is itself a potential primitive event
+                # (class $RULE, method = rule name), enabling meta-rules.
+                if RULE_CLASS in class_index:
+                    self._signal_rule_event(rule, "begin")
+                # Conditions are side-effect free: suppress signalling so
+                # a condition calling an event-generating method triggers
+                # no rules (paper §3.2.1's global acknowledge flag). The
+                # flag is restored before any await, so it never leaks
+                # across the lane's interleaved tasks.
+                condition_span = None
+                if span is not None:
+                    condition_span = telemetry.span(
+                        ConditionEvaluated, rule_name=rule.name
+                    )
+                satisfied = False
+                previous_suppressed = getattr(dlocal, "suppressed", False)
+                dlocal.suppressed = True
+                try:
+                    satisfied = bool(rule.condition(occurrence))
+                except Exception as exc:
+                    raise RuleExecutionError(
+                        rule.name, "condition", exc
+                    ) from exc
+                finally:
+                    dlocal.suppressed = previous_suppressed
+                    if condition_span is not None:
+                        condition_span.close(satisfied=satisfied)
+                        span.set(condition_ms=(
+                            perf_counter() - condition_span.started
+                        ) * 1000.0)
+                if listeners:
+                    self._notify("condition", rule, occurrence,
+                                 satisfied=satisfied, depth=depth)
+                if satisfied:
+                    try:
+                        result = rule.action(occurrence)
+                        if on_lane and inspect.isawaitable(result):
+                            # Sync actions under executor="async" (and
+                            # zero-arg coroutine functions _adapt
+                            # wrapped) return no awaitable.
+                            yield result
+                    except RuleExecutionError:
+                        raise  # a nested rule failed; keep its report
+                    except Exception as exc:
+                        raise RuleExecutionError(
+                            rule.name, "action", exc
+                        ) from exc
+                    rule.executed_count += 1
+                    stats.executions += 1
+                else:
+                    stats.condition_rejections += 1
+                if RULE_CLASS in class_index:
+                    self._signal_rule_event(rule, "end")
                 if sub is not None:
                     if span is not None:
                         commit_start = perf_counter()
                         sub.commit()
-                        span.set(
-                            commit_ms=(
-                                perf_counter() - commit_start
-                            ) * 1000.0
-                        )
+                        span.set(commit_ms=(
+                            perf_counter() - commit_start
+                        ) * 1000.0)
                     else:
                         sub.commit()
                 if span is not None:
-                    span.set(
-                        outcome="completed" if executed else "rejected"
-                    )
-                self._notify(
-                    "done", rule, activation.occurrence, depth=depth
-                )
+                    span.set(outcome="completed" if satisfied else "rejected")
+                if listeners:
+                    self._notify("done", rule, occurrence, depth=depth)
             except Exception as exc:
                 if sub is not None:
                     sub.abort()
                 error = exc if isinstance(exc, RuleExecutionError) else (
                     RuleExecutionError(rule.name, "execution", exc)
                 )
-                self.stats.failures += 1
+                stats.failures += 1
                 self.errors.append(error)
                 if span is not None:
                     span.set(outcome="failed")
-                self._notify("failed", rule, activation.occurrence,
-                             depth=depth, error=error)
+                if listeners:
+                    self._notify("failed", rule, occurrence,
+                                 depth=depth, error=error)
                 if self.error_policy == "raise":
                     raise error from exc
             finally:
-                self._local.depth = depth - 1
-                self._local.rule = previous_rule
-                self._detector.set_current_transaction(previous_txn)
+                slocal.depth = depth - 1
+                slocal.rule = previous_rule
+                dlocal.txn = previous_txn
         finally:
             if span is not None:
                 span.close()
 
-    async def _evaluate_async(self, rule: Rule, occurrence: Occurrence,
-                              span: Optional[TelemetrySpan] = None) -> bool:
-        """Coroutine twin of :meth:`_evaluate`.
-
-        The condition stays strictly synchronous (side-effect-free and
-        evaluated inline, so the suppression flag — a plain loop-thread
-        local, deliberately *not* task-swapped — cannot leak across an
-        await). Only the action's awaitable is awaited.
-        """
-        condition_span = None
-        if span is not None:
-            condition_span = self._detector.telemetry.span(
-                ConditionEvaluated, rule_name=rule.name
-            )
-        satisfied = False
-        try:
-            detector_local = self._detector._local
-            previous_suppressed = getattr(
-                detector_local, "suppressed", False
-            )
-            detector_local.suppressed = True
-            try:
-                satisfied = bool(rule.condition(occurrence))
-            except Exception as exc:
-                raise RuleExecutionError(
-                    rule.name, "condition", exc
-                ) from exc
-            finally:
-                detector_local.suppressed = previous_suppressed
-        finally:
-            if condition_span is not None:
-                condition_span.close(satisfied=satisfied)
-                span.set(
-                    condition_ms=(
-                        perf_counter() - condition_span.started
-                    ) * 1000.0
-                )
-        self._notify("condition", rule, occurrence, satisfied=satisfied,
-                     depth=self._depth())
-        if not satisfied:
-            self.stats.condition_rejections += 1
-            return False
-        try:
-            result = rule.action(occurrence)
-            if inspect.isawaitable(result):
-                # Sync actions under executor="async" (and zero-arg
-                # coroutine functions _adapt wrapped) land here too.
-                await result
-        except RuleExecutionError:
-            raise  # a nested rule failed; keep the original report
-        except Exception as exc:
-            raise RuleExecutionError(rule.name, "action", exc) from exc
-        rule.executed_count += 1
-        self.stats.executions += 1
-        return True
-
     def _signal_rule_event(self, rule: Rule, modifier: str) -> None:
-        detector = self._detector
-        if not detector.graph.primitives_for(RULE_CLASS):
-            return
-        detector.notify(
+        self._detector.notify(
             rule, RULE_CLASS, rule.name, modifier,
             {"rule": rule.name, "priority": rule.priority},
         )
-
-    def _evaluate(self, rule: Rule, occurrence: Occurrence,
-                  span: Optional[TelemetrySpan] = None) -> bool:
-        """Condition then action; returns True iff the action ran."""
-        # Conditions are side-effect free: suppress event signaling so a
-        # condition calling an event-generating method does not trigger
-        # rules (paper §3.2.1's global acknowledge flag).
-        condition_span = None
-        if span is not None:
-            condition_span = self._detector.telemetry.span(
-                ConditionEvaluated, rule_name=rule.name
-            )
-        satisfied = False
-        try:
-            # Inline equivalent of detector.signals_suppressed(): the
-            # contextmanager machinery is measurable at per-notify scale.
-            detector_local = self._detector._local
-            previous_suppressed = getattr(detector_local, "suppressed", False)
-            detector_local.suppressed = True
-            try:
-                satisfied = bool(rule.condition(occurrence))
-            except Exception as exc:
-                raise RuleExecutionError(
-                    rule.name, "condition", exc
-                ) from exc
-            finally:
-                detector_local.suppressed = previous_suppressed
-        finally:
-            if condition_span is not None:
-                condition_span.close(satisfied=satisfied)
-                span.set(
-                    condition_ms=(
-                        perf_counter() - condition_span.started
-                    ) * 1000.0
-                )
-        self._notify("condition", rule, occurrence, satisfied=satisfied,
-                     depth=self._depth())
-        if not satisfied:
-            self.stats.condition_rejections += 1
-            return False
-        try:
-            rule.action(occurrence)
-        except RuleExecutionError:
-            raise  # a nested rule failed; keep the original report
-        except Exception as exc:
-            raise RuleExecutionError(rule.name, "action", exc) from exc
-        rule.executed_count += 1
-        self.stats.executions += 1
-        return True
 
     def shutdown(self) -> None:
         lane = self._async_lane

@@ -271,6 +271,12 @@ class SentinelServer:
             return
         self._closing.set()
         try:
+            # Closing alone does not wake a thread blocked in accept()
+            # on Linux; shutting the listener down first does.
+            self._listener.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
+        try:
             self._listener.close()
         except OSError:
             pass

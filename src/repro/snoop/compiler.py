@@ -27,12 +27,12 @@ lazily on mismatch.
 
 Semantics are bit-for-bit those of the interpreted path — the replay
 oracle parity suite runs both modes across all four parameter contexts
-and shard counts. Whenever a feature needs the interpreted machinery
-(active telemetry spans and stage-latency stamping, scheduler
-listeners, ``$RULE`` meta-events, transactional rule subtransactions,
-threaded executors, collect mode, detached coupling), the engine
-delegates to the interpreted implementation for exactly that call, so
-observability and transactional semantics are preserved unchanged.
+and shard counts. Active telemetry (spans and stage-latency stamping)
+takes the interpreted detection path for exactly that call. Rule
+execution is never compiled: the triggered frame goes to the detector's
+``_run_frame``, whose scheduler runs the one ``cond_action`` body for
+both engines, so listeners, ``$RULE`` meta-events, subtransactions,
+executors and coupling modes behave identically.
 
 In sharded mode (``shards > 1``) the compiled front-end performs the
 route lookup and occurrence construction, then stages the occurrence on
@@ -47,13 +47,8 @@ from typing import TYPE_CHECKING, Any, Optional
 
 from repro.core.events.primitive import ExplicitEventNode
 from repro.core.params import EventModifier, PrimitiveOccurrence, atomic
-from repro.core.rules import CouplingMode, TriggerMode
-from repro.core.scheduler import (
-    RULE_CLASS,
-    RuleActivation,
-    SerialExecutor,
-)
-from repro.errors import RuleExecutionError
+from repro.core.rules import TriggerMode
+from repro.core.scheduler import RuleActivation
 
 if TYPE_CHECKING:
     from repro.core.detector import LocalEventDetector
@@ -115,7 +110,7 @@ class _Plan:
     """One immutable compilation of the graph at a given version."""
 
     __slots__ = (
-        "version", "routes", "explicit", "mro_cache", "has_rule_prims",
+        "version", "routes", "explicit", "mro_cache",
     )
 
     def __init__(self, detector: "LocalEventDetector") -> None:
@@ -144,7 +139,6 @@ class _Plan:
         #: lazily filled for instance notifies whose MRO may widen the
         #: candidate class list (inheritance property, paper §3.2.2)
         self.mro_cache: dict[tuple, tuple] = {}
-        self.has_rule_prims = bool(graph._class_index.get(RULE_CLASS))
 
     def fans_for_instance(
         self,
@@ -180,15 +174,14 @@ class CompiledDispatchEngine:
     """
 
     __slots__ = (
-        "_det", "_plan", "_serial", "_stats", "_local", "_clock",
-        "_graph", "_runtime", "_ingest_lock", "_telemetry", "_scheduler",
+        "_det", "_plan", "_stats", "_local", "_clock",
+        "_graph", "_runtime", "_ingest_lock", "_telemetry",
         "_occ_listeners", "_trig_listeners",
     )
 
     def __init__(self, detector: "LocalEventDetector") -> None:
         self._det = detector
         self._plan: Optional[_Plan] = None
-        self._serial = isinstance(detector.scheduler.executor, SerialExecutor)
         # Stable per-detector references, bound once so the hot path
         # performs no repeated attribute chains. All of these are
         # created in LocalEventDetector.__init__ and never reassigned
@@ -202,7 +195,6 @@ class CompiledDispatchEngine:
             None if detector.runtime.active else detector.runtime.ingest_lock
         )
         self._telemetry = detector.telemetry
-        self._scheduler = detector.scheduler
         self._occ_listeners = detector.occurrence_listeners
         self._trig_listeners = detector.trigger_listeners
 
@@ -348,7 +340,7 @@ class CompiledDispatchEngine:
                 lock.release()
             frames.pop()
         if frame:
-            self._run_frame(self._det, plan, frame)
+            self._det._run_frame(frame)
         return occurrences
 
     def _fanout(
@@ -449,102 +441,5 @@ class CompiledDispatchEngine:
                 lock.release()
             frames.pop()
         if frame:
-            self._run_frame(det, plan, frame)
-        return occurrence
-
-    # -- compiled rule execution -------------------------------------------
-
-    def _run_frame(self, det: "LocalEventDetector", plan: _Plan,
-                   frame: list) -> None:
-        """Run a frame's activations, fast when nothing exotic applies."""
-        if det.collect_mode:
-            det.collected.extend(frame)
-            return
-        scheduler = det.scheduler
-        if (
-            plan.has_rule_prims          # $RULE meta-events must signal
-            or scheduler.listeners       # debugger hooks
-            or not self._serial          # threaded executor semantics
-            or det.telemetry.active      # spans (cascade turned it on)
-        ):
             det._run_frame(frame)
-            return
-        txn_manager = scheduler.txn_manager
-        for activation in frame:
-            if (
-                activation.rule.coupling is CouplingMode.DETACHED
-                or activation.rule.executor == "async"
-                or (
-                    txn_manager is not None
-                    and activation.parent_txn is not None
-                )
-            ):
-                # Detached queueing, the asyncio lane (_run_rule_fast
-                # would leave the coroutine action un-awaited) and rule
-                # subtransactions keep their interpreted machinery.
-                det._run_frame(frame)
-                return
-        stats = scheduler.stats
-        stats.batches += 1
-        if len(frame) > 1:
-            rank = det.priorities.rank
-            frame.sort(key=lambda a: -rank(a.rule.priority))
-        for activation in frame:
-            self._run_rule_fast(det, scheduler, activation)
-
-    def _run_rule_fast(self, det: "LocalEventDetector", scheduler,
-                       activation: RuleActivation) -> None:
-        """Inline cond/act execution mirroring ``RuleScheduler._run_one``
-        for the no-txn / no-listener / no-span case."""
-        rule = activation.rule
-        slocal = scheduler._local
-        depth = getattr(slocal, "depth", 0) + 1
-        if depth > scheduler.MAX_DEPTH:
-            scheduler.run_one(activation)  # canonical nesting error
-            return
-        stats = scheduler.stats
-        if stats.max_depth_seen < depth:
-            stats.max_depth_seen = depth
-        dlocal = det._local
-        previous_txn = getattr(dlocal, "txn", None)
-        previous_rule = getattr(slocal, "rule", None)
-        occurrence = activation.occurrence
-        dlocal.txn = activation.parent_txn
-        slocal.depth = depth
-        slocal.rule = rule
-        try:
-            previous_suppressed = getattr(dlocal, "suppressed", False)
-            dlocal.suppressed = True
-            try:
-                satisfied = bool(rule.condition(occurrence))
-            except Exception as exc:
-                raise RuleExecutionError(
-                    rule.name, "condition", exc
-                ) from exc
-            finally:
-                dlocal.suppressed = previous_suppressed
-            if satisfied:
-                try:
-                    rule.action(occurrence)
-                except RuleExecutionError:
-                    raise  # a nested rule failed; keep the original report
-                except Exception as exc:
-                    raise RuleExecutionError(
-                        rule.name, "action", exc
-                    ) from exc
-                rule.executed_count += 1
-                stats.executions += 1
-            else:
-                stats.condition_rejections += 1
-        except Exception as exc:
-            error = exc if isinstance(exc, RuleExecutionError) else (
-                RuleExecutionError(rule.name, "execution", exc)
-            )
-            stats.failures += 1
-            scheduler.errors.append(error)
-            if scheduler.error_policy == "raise":
-                raise error from exc
-        finally:
-            slocal.depth = depth - 1
-            slocal.rule = previous_rule
-            dlocal.txn = previous_txn
+        return occurrence

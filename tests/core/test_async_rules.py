@@ -10,6 +10,7 @@ on a single loop thread.
 """
 
 import asyncio
+import dataclasses
 import threading
 
 import pytest
@@ -75,10 +76,13 @@ class TestLaneSelection:
 
 def build_system(dispatch: str, shards: int, lane: str):
     """A mixed graph with one recording rule per (expression, context)
-    pair, every rule in its own priority class so the execution order
-    is fully deterministic on both lanes."""
+    pair, plus one condition-rejecting and one failing rule, every rule
+    in its own priority class so the execution order is fully
+    deterministic on both lanes. ``abort_rule`` keeps the run going past
+    the failures so they are compared too."""
     det = LocalEventDetector(
-        shards=shards, dispatch=dispatch, name=f"{dispatch}-{shards}-{lane}"
+        shards=shards, dispatch=dispatch, name=f"{dispatch}-{shards}-{lane}",
+        error_policy="abort_rule",
     )
     for name in "ab":
         det.explicit_event(name)
@@ -89,24 +93,63 @@ def build_system(dispatch: str, shards: int, lane: str):
         "seq_ab": e("a") >> e("b"),
     }
     hits: list[tuple] = []
+    phases: list[tuple] = []
     lock = threading.Lock()
+
+    def record(n, occ):
+        with lock:
+            hits.append((n, len(list(occ.primitives()))))
+
+    def fail(n, occ):
+        raise ValueError(f"{n} failed at n={first_n(occ)}")
+
+    def lane_action(body, rule_name):
+        if lane == "async":
+            async def act(occ):
+                await asyncio.sleep(0)
+                body(rule_name, occ)
+        else:
+            def act(occ):
+                body(rule_name, occ)
+        return act
+
     priority = 1
     for ctx in CONTEXTS:
         for label, node in exprs.items():
             rule_name = f"r_{label}:{ctx}"
-            if lane == "async":
-                async def act(occ, _n=rule_name):
-                    await asyncio.sleep(0)
-                    with lock:
-                        hits.append((_n, len(list(occ.primitives()))))
-            else:
-                def act(occ, _n=rule_name):
-                    with lock:
-                        hits.append((_n, len(list(occ.primitives()))))
-            det.rule(rule_name, node, action=act, context=ctx,
-                     priority=priority)
+            det.rule(rule_name, node, action=lane_action(record, rule_name),
+                     context=ctx, priority=priority)
             priority += 1
-    return det, hits
+    det.rule("r_reject", exprs["and_ab"],
+             condition=lambda occ: first_n(occ) % 3 == 0,
+             action=lane_action(record, "r_reject"), priority=priority)
+    det.rule("r_fail", exprs["seq_ab"], action=lane_action(fail, "r_fail"),
+             priority=priority + 1)
+
+    def listener(phase, rule, occ, info):
+        error = info.get("error")
+        activation = (
+            rule.name,
+            tuple((p.event_name, p["n"]) for p in occ.primitives()),
+        )
+        phases.append((
+            activation, phase, info["depth"], info.get("satisfied"),
+            None if error is None else (error.phase, repr(error.cause)),
+        ))
+
+    det.scheduler.listeners.append(listener)
+    return det, hits, phases
+
+
+def first_n(occ) -> int:
+    return next(iter(occ.primitives()))["n"]
+
+
+def by_activation(phases: list[tuple]) -> list[tuple]:
+    grouped: dict[tuple, list] = {}
+    for activation, *phase in phases:
+        grouped.setdefault(activation, []).append(tuple(phase))
+    return list(grouped.items())
 
 
 def drive(det) -> None:
@@ -118,17 +161,35 @@ def drive(det) -> None:
 @pytest.mark.parametrize("shards", [1, 4])
 def test_async_lane_matches_the_sync_oracle(dispatch, shards):
     """Same events, same graph: the async lane triggers exactly what
-    the sync lane does, in the same order, in every parameter context."""
-    oracle, oracle_hits = build_system(dispatch, shards, "sync")
-    candidate, candidate_hits = build_system(dispatch, shards, "async")
+    the sync lane does, in the same order, in every parameter context —
+    with the same stats, listener phases and recorded errors."""
+    oracle, oracle_hits, oracle_phases = build_system(dispatch, shards, "sync")
+    candidate, candidate_hits, candidate_phases = build_system(
+        dispatch, shards, "async"
+    )
     drive(oracle)
     drive(candidate)
     assert oracle_hits, "oracle produced no triggers — broken fixture"
     assert candidate_hits == oracle_hits
-    assert (
-        candidate.scheduler.stats.executions
-        == oracle.scheduler.stats.executions
-    )
+    oracle_stats = dataclasses.asdict(oracle.scheduler.stats)
+    assert oracle_stats["condition_rejections"] > 0
+    assert oracle_stats["failures"] > 0
+    assert dataclasses.asdict(candidate.scheduler.stats) == oracle_stats
+    assert {p[1] for p in oracle_phases} == {
+        "start", "condition", "done", "failed"
+    }
+    # Activations of one priority class interleave at await points on
+    # the lane, so phases are compared per activation, in first-start
+    # order.
+    assert by_activation(candidate_phases) == by_activation(oracle_phases)
+
+    def errors(det):
+        return [
+            (e.rule_name, e.phase, repr(e.cause))
+            for e in det.scheduler.errors
+        ]
+
+    assert errors(candidate) == errors(oracle)
     oracle.shutdown()
     candidate.shutdown()
 

@@ -8,6 +8,7 @@ engine bit-for-bit; these tests pin that contract beyond the replay
 oracle in ``test_sharding.py``.
 """
 
+import dataclasses
 import time
 
 import pytest
@@ -15,7 +16,9 @@ import pytest
 from repro import Sentinel, TraceLogProcessor
 from repro.core.contexts import ParameterContext
 from repro.core.detector import LocalEventDetector
+from repro.core.scheduler import ThreadedExecutor
 from repro.errors import RuleExecutionError
+from repro.transactions.nested import NestedTransactionManager
 
 
 CONTEXTS = ("recent", "chronicle", "continuous", "cumulative")
@@ -121,14 +124,59 @@ def _pump(det):
     return fired, occurrences, det
 
 
-def test_notify_parity_across_modes():
+#: rule-execution configurations beyond the plain serial one: a $RULE
+#: meta-rule, an attached scheduler listener (the debugger's hook), the
+#: thread-pool executor, and rules run as nested subtransactions
+CONFIGS = ("plain", "rule_meta", "listener", "threaded", "nested_txn")
+
+
+def _configured(dispatch, config):
+    """A detector for ``config`` plus a probe list its extras fill."""
+    det = LocalEventDetector(
+        dispatch=dispatch,
+        executor=(
+            ThreadedExecutor(max_workers=4) if config == "threaded" else None
+        ),
+        txn_manager=(
+            NestedTransactionManager() if config == "nested_txn" else None
+        ),
+    )
+    probe = []
+    if config == "rule_meta":
+        det.rule_execution_event("after_recent", "r:recent", "end")
+        det.rule("meta", "after_recent",
+                 action=lambda occ: probe.append(("meta", occ.at)))
+    elif config == "listener":
+        det.scheduler.listeners.append(
+            lambda phase, rule, occ, info: probe.append(
+                (phase, rule.name, info["depth"], info.get("satisfied"))
+            )
+        )
+    elif config == "nested_txn":
+        top = det.txn_manager.begin_top("parity")
+        det.set_current_transaction(top)
+        probe.append(top)
+    return det, probe
+
+
+@pytest.mark.parametrize("config", CONFIGS)
+def test_notify_parity_across_modes(config):
     results = {}
     for dispatch in DISPATCHES:
-        det = LocalEventDetector(dispatch=dispatch)
+        det, probe = _configured(dispatch, config)
         try:
             fired, occurrences, det = _pump(det)
+            if config == "threaded":
+                # one priority class runs concurrently on the pool
+                fired = sorted(fired)
+            if config == "nested_txn":
+                probe = [
+                    (sub.label, sub.state.value, len(sub.children))
+                    for sub in probe[0].children
+                ]
             results[dispatch] = {
                 "fired": fired,
+                "probe": probe,
                 "events": [
                     (o.event_name, o.at, o.class_name, o.instance,
                      o.method_name, o.modifier, o.arguments, o.txn_id)
@@ -142,10 +190,13 @@ def test_notify_parity_across_modes():
                     node.display_name: dict(node.detections_by_context)
                     for node in det.graph._nodes
                 },
+                "scheduler": dataclasses.asdict(det.scheduler.stats),
             }
         finally:
             det.shutdown()
     assert results["compiled"] == results["interpreted"]
+    if config in ("rule_meta", "listener", "nested_txn"):
+        assert results["compiled"]["probe"], "config extras never ran"
 
 
 def test_instance_filter_parity(det):

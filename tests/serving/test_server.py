@@ -480,3 +480,16 @@ def test_close_is_idempotent(system):
     server = make_server(system, Tenant("t", token="t"))
     server.close()
     server.close()
+
+
+def test_close_on_an_idle_server_returns_promptly(system):
+    # A started server with no connections has its accept thread parked
+    # in accept(); close() must wake it instead of waiting out the
+    # drain timeout on the join.
+    server = make_server(system, Tenant("t", token="t"))
+    accept_thread = server._accept_thread
+    assert accept_thread.is_alive()
+    started = time.perf_counter()
+    server.close(drain_timeout=5.0)
+    assert time.perf_counter() - started < 1.0
+    assert not accept_thread.is_alive()
