@@ -377,12 +377,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default: until SIGTERM/SIGINT)")
     serve.add_argument("--shards", type=int, default=1,
                        help="detection shards for the shared system")
-    serve.add_argument("--dispatch", choices=("interpreted", "compiled"),
-                       default="interpreted",
-                       help="detection engine for the shared system; "
-                            "'compiled' flattens the event graph into "
-                            "per-route dispatch plans (same semantics, "
-                            "lower per-event cost)")
+    # Removed engine selector: accepted only so Sentinel can refuse it
+    # with RemovedAPIError [E2] instead of a bare usage error.
+    serve.add_argument("--dispatch", default=None, help=argparse.SUPPRESS)
     serve.add_argument("--directory", default=None,
                        help="database directory (default: in-memory)")
     serve.add_argument("--name", default="served",

@@ -16,6 +16,14 @@ has run — the application "waits for the signaling of a composite event
 that is detected in the immediate mode". Nested triggering is handled
 by re-entrance: an action's method calls notify, whose own rule batch
 runs before the action continues (depth-first execution).
+
+There is one detection engine. Every ``notify``/``notify_batch``/
+``raise_event``/``raise_events`` call, traced or not, on one shard or
+many, looks its nodes up in the graph's route table
+(:meth:`~repro.core.events.graph.EventGraph.route`) and fans each
+occurrence out through ``EventNode.signal`` (or the shard driver).
+The ``dispatch=`` engine selector is gone; passing it raises
+RemovedAPIError [E2].
 """
 
 from __future__ import annotations
@@ -67,6 +75,21 @@ if TYPE_CHECKING:
     from repro.core.events.base import EventNode
 
 
+#: fast common-case modifier spellings; anything else goes through
+#: ``EventModifier.parse``, which rejects unknown spellings
+_MOD_BY_KEY: dict[Any, EventModifier] = {
+    "begin": EventModifier.BEGIN,
+    "end": EventModifier.END,
+    EventModifier.BEGIN: EventModifier.BEGIN,
+    EventModifier.END: EventModifier.END,
+}
+
+
+def _modifier(value: EventModifier | str) -> EventModifier:
+    mod = _MOD_BY_KEY.get(value)
+    return mod if mod is not None else EventModifier.parse(value)
+
+
 @dataclass
 class DetectorStats:
     notifications: int = 0
@@ -93,8 +116,34 @@ def _reject_builder(method: str, replacement: str) -> None:
     )
 
 
+def _reject_dispatch(dispatch: Optional[str]) -> None:
+    """Hard stop for the removed ``dispatch=`` engine selector.
+
+    A non-empty ``REPRO_DISPATCH`` is refused too, so a stale setting
+    cannot be silently ignored.
+    """
+    env = os.environ.get("REPRO_DISPATCH")
+    if dispatch is None and not env:
+        return
+    from repro.errors import RemovedAPIError
+
+    given = (
+        f"dispatch={dispatch!r}" if dispatch is not None
+        else f"REPRO_DISPATCH={env!r}"
+    )
+    raise RemovedAPIError(
+        f"{given}: the dispatch engine selector was removed — every "
+        f"detector now runs the one detection engine; delete the "
+        f"argument (or unset REPRO_DISPATCH)"
+    )
+
+
 class LocalEventDetector:
     """Per-application composite event detection and rule execution."""
+
+    #: name of the one detection engine (a read-only report, kept for
+    #: ``Sentinel.dispatch`` and the serving hello)
+    dispatch = "routed"
 
     def __init__(
         self,
@@ -108,21 +157,8 @@ class LocalEventDetector:
         shards: int = 1,
         dispatch: Optional[str] = None,
     ):
-        if dispatch is None:
-            # The env override lets whole suites (CI stress legs) run
-            # under the compiled engine without touching call sites.
-            dispatch = os.environ.get("REPRO_DISPATCH", "interpreted")
-        if dispatch not in ("interpreted", "compiled"):
-            raise ValueError(
-                f"dispatch must be 'interpreted' or 'compiled', "
-                f"got {dispatch!r}"
-            )
+        _reject_dispatch(dispatch)
         self.name = name
-        #: which execution backend signals route through. "interpreted"
-        #: is the seed's recursive graph walk; "compiled" overlays the
-        #: specialized engine from :mod:`repro.snoop.compiler` (installed
-        #: at the end of __init__, once the scheduler exists).
-        self.dispatch = dispatch
         self.clock = clock if clock is not None else LogicalClock()
         #: shared telemetry hub — dormant (near-no-op emit paths) until
         #: a processor is attached.
@@ -168,15 +204,6 @@ class LocalEventDetector:
         ] = []
         #: called with (rule, occurrence) on every rule trigger (debugger)
         self.trigger_listeners: list[Callable[[Rule, Any], None]] = []
-        #: compiled dispatch engine; the instance-attribute overrides
-        #: keep interpreted-mode detectors at literal zero overhead
-        self.engine = None
-        if dispatch == "compiled":
-            from repro.snoop.compiler import CompiledDispatchEngine
-
-            self.engine = CompiledDispatchEngine(self)
-            self.notify = self.engine.notify  # type: ignore[method-assign]
-            self.raise_event = self.engine.raise_event  # type: ignore[method-assign]
 
     # =====================================================================
     # Event definition API
@@ -349,36 +376,35 @@ class LocalEventDetector:
         primitive event node (a single ``set_price`` call can fire both
         a class-level and an instance-level event).
         """
-        self.stats.notifications += 1
+        stats = self.stats
+        stats.notifications += 1
         telemetry = self.telemetry
-        if self._is_suppressed():
-            self.stats.suppressed += 1
+        if getattr(self._local, "suppressed", False):
+            stats.suppressed += 1
             if telemetry.active:
                 telemetry.point(
                     NotificationSuppressed,
                     class_name=class_name, method_name=method_name,
                 )
             return []
-        if isinstance(modifier, str):
-            modifier = EventModifier.parse(modifier)
+        mod = _modifier(modifier)
         occurrences: list[PrimitiveOccurrence] = []
-
-        def propagate() -> None:
-            self._ingest_notify(
-                instance, class_name, method_name, modifier, arguments,
-                txn_id, occurrences,
-            )
-
         if telemetry.active:
             with telemetry.span(
                 NotificationReceived,
                 class_name=class_name, method_name=method_name,
-                modifier=modifier.value,
+                modifier=mod.value,
             ) as span:
-                self._dispatch(propagate)
+                self._dispatch(
+                    self._ingest_notify, instance, class_name, method_name,
+                    mod, arguments, txn_id, occurrences,
+                )
                 span.set(matched=len(occurrences))
         else:
-            self._dispatch(propagate)
+            self._dispatch(
+                self._ingest_notify, instance, class_name, method_name,
+                mod, arguments, txn_id, occurrences,
+            )
         return occurrences
 
     def notify_batch(
@@ -403,7 +429,7 @@ class LocalEventDetector:
         self.stats.batches += 1
         self.stats.notifications += len(items)
         telemetry = self.telemetry
-        if self._is_suppressed():
+        if getattr(self._local, "suppressed", False):
             self.stats.suppressed += len(items)
             if telemetry.active:
                 telemetry.point(
@@ -412,121 +438,84 @@ class LocalEventDetector:
                 )
             return []
         occurrences: list[PrimitiveOccurrence] = []
-
-        def propagate() -> None:
-            for item in items:
-                instance, class_name, method_name, modifier = item[:4]
-                arguments = item[4] if len(item) > 4 else ()
-                self._ingest_notify(
-                    instance, class_name, method_name, modifier,
-                    arguments, txn_id, occurrences,
-                )
-
         if telemetry.active:
             with telemetry.span(
                 BatchIngested, size=len(items), source="method",
             ) as span:
-                self._dispatch(propagate)
+                self._dispatch(self._ingest_items, items, txn_id, occurrences)
                 span.set(matched=len(occurrences))
         else:
-            self._dispatch(propagate)
+            self._dispatch(self._ingest_items, items, txn_id, occurrences)
         return occurrences
+
+    def _ingest_items(self, items: list, txn_id: Optional[int],
+                      occurrences: list[PrimitiveOccurrence]) -> None:
+        for item in items:
+            instance, class_name, method_name, modifier = item[:4]
+            arguments = item[4] if len(item) > 4 else ()
+            self._ingest_notify(
+                instance, class_name, method_name, _modifier(modifier),
+                arguments, txn_id, occurrences,
+            )
 
     def _ingest_notify(
         self,
         instance: Any,
         class_name: str,
         method_name: str,
-        modifier: EventModifier | str,
+        mod: EventModifier,
         arguments: dict[str, Any] | tuple,
         txn_id: Optional[int],
         occurrences: list[PrimitiveOccurrence],
     ) -> None:
-        """Match one Notify item and signal it (runs inside a dispatch)."""
-        if isinstance(modifier, str):
-            modifier = EventModifier.parse(modifier)
+        """Route one Notify item and signal it (runs inside a dispatch)."""
         if isinstance(arguments, dict):
-            arguments = tuple(arguments.items())
+            arguments = arguments.items()
         arguments = tuple((k, atomic(v)) for k, v in arguments)
+        # The clock ticks exactly once per item, matched or not —
+        # replay parity depends on identical timestamps.
         at = self.clock.tick()
         if txn_id is None:
-            current = self.current_transaction()
+            current = getattr(self._local, "txn", None)
             txn_id = current.top_level_id if current is not None else None
-        # Inheritance property: a method invocation on a subclass
-        # instance matches events declared on any ancestor class.
-        candidates = [class_name]
-        if instance is not None:
-            mro_names = [c.__name__ for c in type(instance).__mro__]
-            if class_name in mro_names:
-                candidates = mro_names
+        nodes = self.graph.route(instance, class_name, method_name, mod)
+        if not nodes:
+            return
         telemetry = self.telemetry
-        traced = telemetry.active
-        trace = telemetry.current_trace_id() if traced else None
-        runtime = self.runtime
-        sharded = runtime.active
-        nodes = [
-            node
-            for candidate in candidates
-            for node in self.graph.primitives_for(candidate)
-        ]
+        trace = telemetry.current_trace_id() if telemetry.active else None
+        identity = None if instance is None else getattr(instance, "oid", None)
+        if identity is None:
+            identity = instance
         for node in nodes:
-            if not node.matches(
-                node.class_name, method_name, modifier, instance
-            ):
+            if node.instance is not None and node.instance != instance:
                 continue
             occurrence = PrimitiveOccurrence(
                 event_name=node.display_name,
                 at=at,
                 class_name=class_name,
-                instance=self._identity(instance),
+                instance=identity,
                 method_name=method_name,
-                modifier=modifier,
+                modifier=mod,
                 arguments=arguments,
                 txn_id=txn_id,
-                state_snapshot=self._snapshot(node, instance),
+                state_snapshot=(
+                    self._snapshot(node, instance)
+                    if node.snapshot_state else None
+                ),
                 trace_id=trace,
             )
             occurrences.append(occurrence)
-            for listener in self.occurrence_listeners:
-                listener(occurrence)
-            if sharded:
-                runtime.submit_occur(node, occurrence)
-            elif traced:
-                with telemetry.span(
-                    GraphPropagation,
-                    event_name=node.display_name,
-                    operator=node.operator,
-                ):
-                    node.occur(occurrence)
-            else:
-                node.occur(occurrence)
-            if node.display_name in self._global_events:
-                self._forward_global(occurrence)
+            self._occur(node, occurrence)
 
     def raise_event(self, name: str, txn_id: Optional[int] = None,
                     **params: Any) -> PrimitiveOccurrence:
         """Raise an explicit (abstract) event with keyword parameters."""
-        node = self.graph.get(name)
-        if not isinstance(node, ExplicitEventNode):
-            raise EventError(
-                f"{name!r} is not an explicit event; only explicit events "
-                f"can be raised directly"
-            )
+        node = self._explicit(name)
         at = self.clock.tick()
         if txn_id is None:
-            current = self.current_transaction()
+            current = getattr(self._local, "txn", None)
             txn_id = current.top_level_id if current is not None else None
-
-        def make(trace: Optional[str]) -> PrimitiveOccurrence:
-            return PrimitiveOccurrence(
-                event_name=name,
-                at=at,
-                class_name="$EXPLICIT",
-                arguments=tuple((k, atomic(v)) for k, v in params.items()),
-                txn_id=txn_id,
-                trace_id=trace,
-            )
-
+        arguments = tuple((k, atomic(v)) for k, v in params.items())
         telemetry = self.telemetry
         if telemetry.active:
             with telemetry.span(
@@ -536,11 +525,18 @@ class LocalEventDetector:
             ):
                 # Constructed inside the span so the occurrence carries
                 # the trace the span minted (or inherited).
-                occurrence = make(telemetry.current_trace_id())
-                self._dispatch(lambda: self._raise(node, occurrence))
+                occurrence = PrimitiveOccurrence(
+                    event_name=name, at=at, class_name="$EXPLICIT",
+                    arguments=arguments, txn_id=txn_id,
+                    trace_id=telemetry.current_trace_id(),
+                )
+                self._dispatch(self._occur, node, occurrence)
         else:
-            occurrence = make(None)
-            self._dispatch(lambda: self._raise(node, occurrence))
+            occurrence = PrimitiveOccurrence(
+                event_name=name, at=at, class_name="$EXPLICIT",
+                arguments=arguments, txn_id=txn_id,
+            )
+            self._dispatch(self._occur, node, occurrence)
         return occurrence
 
     def raise_events(
@@ -558,78 +554,73 @@ class LocalEventDetector:
         resolved before any event is signaled, so an unknown or
         non-explicit name raises without a partial batch.
         """
-        items: list[tuple[str, dict]] = []
+        items: list[tuple[ExplicitEventNode, str, dict]] = []
         for item in events:
-            if isinstance(item, str):
-                items.append((item, {}))
-            else:
-                name, params = item
-                items.append((name, dict(params)))
-        nodes = []
-        for name, __ in items:
-            node = self.graph.get(name)
-            if not isinstance(node, ExplicitEventNode):
-                raise EventError(
-                    f"{name!r} is not an explicit event; only explicit "
-                    f"events can be raised directly"
-                )
-            nodes.append(node)
+            name, params = (item, {}) if isinstance(item, str) else item
+            items.append((self._explicit(name), name, dict(params)))
         self.stats.batches += 1
         occurrences: list[PrimitiveOccurrence] = []
-
-        def propagate() -> None:
-            telemetry = self.telemetry
-            trace = telemetry.current_trace_id() if telemetry.active else None
-            for node, (name, params) in zip(nodes, items):
-                at = self.clock.tick()
-                if txn_id is None:
-                    current = self.current_transaction()
-                    tid = (
-                        current.top_level_id if current is not None else None
-                    )
-                else:
-                    tid = txn_id
-                occurrence = PrimitiveOccurrence(
-                    event_name=name,
-                    at=at,
-                    class_name="$EXPLICIT",
-                    arguments=tuple(
-                        (k, atomic(v)) for k, v in params.items()
-                    ),
-                    txn_id=tid,
-                    trace_id=trace,
-                )
-                occurrences.append(occurrence)
-                self._raise(node, occurrence)
-
         telemetry = self.telemetry
         if telemetry.active:
             with telemetry.span(
                 BatchIngested, size=len(items), source="explicit",
                 matched=len(items),
             ):
-                self._dispatch(propagate)
+                self._dispatch(self._raise_items, items, txn_id, occurrences)
         else:
-            self._dispatch(propagate)
+            self._dispatch(self._raise_items, items, txn_id, occurrences)
         return occurrences
 
-    def _raise(self, node: ExplicitEventNode, occ: PrimitiveOccurrence) -> None:
-        for listener in self.occurrence_listeners:
-            listener(occ)
-        if self.runtime.active:
-            self.runtime.submit_occur(node, occ)
-        else:
-            telemetry = self.telemetry
-            if telemetry.active:
-                with telemetry.span(
-                    GraphPropagation,
-                    event_name=node.display_name, operator=node.operator,
-                ):
-                    node.occur(occ)
+    def _raise_items(self, items: list, txn_id: Optional[int],
+                     occurrences: list[PrimitiveOccurrence]) -> None:
+        telemetry = self.telemetry
+        trace = telemetry.current_trace_id() if telemetry.active else None
+        for node, name, params in items:
+            at = self.clock.tick()
+            if txn_id is None:
+                current = getattr(self._local, "txn", None)
+                tid = current.top_level_id if current is not None else None
             else:
-                node.occur(occ)
+                tid = txn_id
+            occurrence = PrimitiveOccurrence(
+                event_name=name,
+                at=at,
+                class_name="$EXPLICIT",
+                arguments=tuple((k, atomic(v)) for k, v in params.items()),
+                txn_id=tid,
+                trace_id=trace,
+            )
+            occurrences.append(occurrence)
+            self._occur(node, occurrence)
+
+    def _explicit(self, name: str) -> ExplicitEventNode:
+        node = self.graph.get(name)
+        if not isinstance(node, ExplicitEventNode):
+            raise EventError(
+                f"{name!r} is not an explicit event; only explicit events "
+                f"can be raised directly"
+            )
+        return node
+
+    def _occur(self, node: "EventNode",
+               occurrence: PrimitiveOccurrence) -> None:
+        """Fan one primitive or explicit occurrence out of ``node``:
+        listeners, the node's contexts (via ``EventNode.signal``, or
+        the shard driver), then global forwarding."""
+        for listener in self.occurrence_listeners:
+            listener(occurrence)
+        if self.runtime.active:
+            self.runtime.submit_occur(node, occurrence)
+        elif self.telemetry.active:
+            with self.telemetry.span(
+                GraphPropagation,
+                event_name=node.display_name, operator=node.operator,
+            ):
+                node.occur(occurrence)
+        else:
+            node.occur(occurrence)
         if node.display_name in self._global_events:
-            self._forward_global(occ)
+            self._forward_global(occurrence)
 
     def signal_system_event(self, event_name: str,
                             txn_id: Optional[int] = None) -> None:
@@ -659,14 +650,14 @@ class LocalEventDetector:
 
     def poll(self) -> None:
         """Check temporal nodes against the current clock."""
-        now = self.clock.now()
+        self._dispatch(self._poll, self.clock.now())
+
+    def _poll(self, now: float) -> None:
         if self.runtime.active:
-            self._dispatch(lambda: [
+            for node in self.graph.temporal_nodes():
                 self.runtime.submit_poll(node, now)
-                for node in self.graph.temporal_nodes()
-            ])
         else:
-            self._dispatch(lambda: self.graph.poll(now))
+            self.graph.poll(now)
 
     # =====================================================================
     # Dispatch machinery
@@ -675,12 +666,11 @@ class LocalEventDetector:
     def _frames(self) -> list[list[RuleActivation]]:
         frames = getattr(self._local, "frames", None)
         if frames is None:
-            frames = []
-            self._local.frames = frames
+            frames = self._local.frames = []
         return frames
 
-    def _dispatch(self, propagate: Callable[[], None]) -> None:
-        """Run a propagation, then execute the rules it triggered.
+    def _dispatch(self, ingest: Callable[..., None], *args: Any) -> None:
+        """Run ``ingest(*args)``, then execute the rules it triggered.
 
         The activation frame is popped *before* the scheduler runs, so
         rules triggered from inside an action (via a nested notify) get
@@ -692,21 +682,22 @@ class LocalEventDetector:
         runtime = self.runtime
         try:
             if runtime.active:
-                # Sharded: the propagate closure only stages roots on
-                # this thread's driver; the driver then runs the full
-                # cascade under per-shard locks.
-                propagate()
+                # Sharded: ingestion only stages roots on this thread's
+                # driver; the driver then runs the full cascade under
+                # per-shard locks.
+                ingest(*args)
                 runtime.run()
             else:
-                # Single shard: seed-style inline recursion, serialized
-                # under the one ingestion stripe. The lock is released
-                # before the frame's rules run, so actions that notify
-                # re-enter cleanly (including from executor threads).
+                # Single shard: inline recursion, serialized under the
+                # one ingestion stripe. The lock is released before the
+                # frame's rules run, so actions that notify re-enter
+                # cleanly (including from executor threads).
                 with runtime.ingest_lock:
-                    propagate()
+                    ingest(*args)
         finally:
             frames.pop()
-        self._run_frame(frame)
+        if frame:
+            self._run_frame(frame)
 
     def _on_trigger(self, rule: Rule, occurrence) -> None:
         """Graph emitter: a rule subscriber matched a detection."""
@@ -715,22 +706,22 @@ class LocalEventDetector:
         for listener in self.trigger_listeners:
             listener(rule, occurrence)
         telemetry = self.telemetry
-        parent_span_id = None
-        trace_id = None
+        parent_txn = getattr(self._local, "txn", None)
         if telemetry.active:
             # Capture the triggering scope so the rule span links to it
             # even when it runs on another thread (threaded/detached).
-            parent_span_id = telemetry.current_span_id()
-            trace_id = telemetry.current_trace_id()
+            activation = RuleActivation(
+                rule, occurrence, parent_txn=parent_txn,
+                parent_span_id=telemetry.current_span_id(),
+                trace_id=telemetry.current_trace_id(),
+            )
             telemetry.point(
                 RuleTriggered,
                 rule_name=rule.name,
                 event_name=getattr(occurrence, "event_name", "?"),
             )
-        activation = RuleActivation(
-            rule, occurrence, parent_txn=self.current_transaction(),
-            parent_span_id=parent_span_id, trace_id=trace_id,
-        )
+        else:
+            activation = RuleActivation(rule, occurrence, parent_txn=parent_txn)
         frames = self._frames()
         if frames:
             frames[-1].append(activation)
@@ -803,8 +794,6 @@ class LocalEventDetector:
         """Forward occurrences of ``event_name`` to global listeners."""
         self.graph.get(event_name)  # must exist
         self._global_events.add(event_name)
-        # The compiled plan folds the global-forward flag per node.
-        self.graph.version += 1
 
     def add_global_listener(
         self, listener: Callable[[PrimitiveOccurrence], None]
@@ -853,14 +842,6 @@ class LocalEventDetector:
                 if not k.startswith("_")
             }
         return tuple((k, atomic(v)) for k, v in state.items())
-
-    def _identity(self, instance: Any) -> Any:
-        if instance is None:
-            return None
-        oid = getattr(instance, "oid", None)
-        if oid is not None:
-            return oid
-        return instance
 
     def shutdown(self) -> None:
         self.scheduler.shutdown()

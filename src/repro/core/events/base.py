@@ -72,7 +72,6 @@ class EventNode:
         self._context_counts[ctx] = previous + count
         if previous == 0:
             self._state[ctx] = self._new_state(ctx)
-        self.graph.version += 1
         for child in self.children:
             child.add_context(ctx, count)
 
@@ -85,7 +84,6 @@ class EventNode:
             self._state.pop(ctx, None)
         else:
             self._context_counts[ctx] = remaining
-        self.graph.version += 1
         for child in self.children:
             child.remove_context(ctx, count)
 
@@ -139,13 +137,23 @@ class EventNode:
                 total += len(state)
         return total
 
+    def occur(self, occurrence: Occurrence) -> None:
+        """Fire a leaf occurrence in every active context."""
+        for ctx in tuple(self._context_counts):
+            self.signal(occurrence, ctx)
+
     def signal(self, occurrence: Occurrence, ctx: ParameterContext) -> None:
-        """Deliver a detection of this node to its subscribers."""
-        self.graph.stats.detections += 1
-        self.detections_by_context[ctx] = (
-            self.detections_by_context.get(ctx, 0) + 1
-        )
-        telemetry = self.graph.telemetry
+        """Deliver a detection of this node to its subscribers.
+
+        The one non-sharded fan-out loop: every notify, raise and
+        composite detection passes through here.
+        """
+        graph = self.graph
+        stats = graph.stats
+        stats.detections += 1
+        counts = self.detections_by_context
+        counts[ctx] = counts.get(ctx, 0) + 1
+        telemetry = graph.telemetry
         if telemetry.active:
             telemetry.point(
                 Detection,
@@ -153,9 +161,9 @@ class EventNode:
                 operator=self.operator,
                 context=ctx.value,
             )
-        if self.graph.observers:
-            self.graph.notify_observers(self, occurrence, ctx)
-        runtime = self.graph.runtime
+        if graph.observers:
+            graph.notify_observers(self, occurrence, ctx)
+        runtime = graph.runtime
         if runtime is not None:
             # Sharded mode: defer the fan-out onto the driver stack so
             # each subscriber runs under its own shard's lock stripe.
@@ -163,11 +171,11 @@ class EventNode:
             return
         for parent, port in self.event_subscribers:
             if parent.context_active(ctx):
-                self.graph.stats.propagations += 1
+                stats.propagations += 1
                 parent.on_child(port, occurrence, ctx)
-        for rule in list(self.rule_subscribers):
+        for rule in tuple(self.rule_subscribers):
             if rule.wants(ctx, occurrence):
-                self.graph.emit(rule, occurrence)
+                graph.emit(rule, occurrence)
 
     def on_child(self, port: int, occurrence: Occurrence,
                  ctx: ParameterContext) -> None:

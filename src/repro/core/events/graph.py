@@ -9,6 +9,7 @@ disabled for the ABL-SHARE ablation benchmark.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional
 
@@ -66,6 +67,18 @@ class EventGraph:
         self._by_name: dict[str, EventNode] = {}
         self._share_index: dict[tuple, EventNode] = {}
         self._class_index: dict[str, list[PrimitiveEventNode]] = {}
+        #: the Notify route table: ``(class, method, modifier)`` -> the
+        #: primitive nodes declared with that signature, in definition
+        #: order. Tuples are replaced, never mutated, so a lookup racing
+        #: a registration sees a consistent snapshot.
+        self._routes: dict[tuple, tuple[PrimitiveEventNode, ...]] = {}
+        #: ``(type(instance), class, method, modifier)`` -> routes of
+        #: every class in the instance's MRO (inheritance property);
+        #: rebound, not cleared, when a primitive registers so a racing
+        #: lookup can only fill the discarded dict.
+        self._mro_routes: dict[tuple, tuple[PrimitiveEventNode, ...]] = {}
+        #: serializes route-table writes (registrations may race)
+        self._routes_lock = threading.Lock()
         self._emit: Optional[Callable[["Rule", "Occurrence"], None]] = None
         #: observers get (node, occurrence, ctx) on every detection;
         #: used by the rule debugger's trace recorder.
@@ -77,12 +90,6 @@ class EventGraph:
         #: node -> shard assignment (a ``repro.core.sharding.ShardMap``);
         #: when None every node lands on shard 0.
         self.shard_map = None
-        #: monotonically increasing topology stamp. Bumped whenever the
-        #: routing-relevant shape changes: node registration/naming,
-        #: rule (un)subscription, and per-context counter edits. The
-        #: compiled dispatch engine (``repro.snoop.compiler``) compares
-        #: this against its plan and rebuilds lazily on mismatch.
-        self.version = 0
 
     # -- wiring ------------------------------------------------------------------
 
@@ -98,7 +105,6 @@ class EventGraph:
         """Called from ``EventNode.__init__``."""
         self._nodes.append(node)
         self.stats.nodes_created += 1
-        self.version += 1
         node.shard = (
             self.shard_map.assign(node) if self.shard_map is not None else 0
         )
@@ -106,12 +112,45 @@ class EventGraph:
             # "Each of the primitive events defined is maintained as a
             # list based on the class on which it is defined."
             self._class_index.setdefault(node.class_name, []).append(node)
+            key = (node.class_name, node.method_name, node.modifier)
+            with self._routes_lock:
+                self._routes[key] = self._routes.get(key, ()) + (node,)
+                self._mro_routes = {}
         if node.name:
             self._register_name(node.name, node)
 
     def primitives_for(self, class_name: str) -> list[PrimitiveEventNode]:
         """Primitive event nodes declared on ``class_name``."""
         return self._class_index.get(class_name, [])
+
+    def route(self, instance: Any, class_name: str, method_name: str,
+              modifier: EventModifier) -> tuple[PrimitiveEventNode, ...]:
+        """Primitive nodes whose signature matches a Notify.
+
+        "Once a primitive event node is notified it checks the method
+        signature with the one that has been sent" — the table does
+        that check once per signature instead of once per call. A call
+        on a subclass instance also matches events declared on any
+        ancestor class (inheritance property). Instance-level nodes
+        are returned too; the caller filters them by identity.
+        """
+        if instance is None:
+            return self._routes.get((class_name, method_name, modifier), ())
+        cls = type(instance)
+        key = (cls, class_name, method_name, modifier)
+        cache = self._mro_routes
+        nodes = cache.get(key)
+        if nodes is None:
+            candidates = [c.__name__ for c in cls.__mro__]
+            if class_name not in candidates:
+                candidates = [class_name]
+            routes = self._routes
+            nodes = cache[key] = tuple(
+                node
+                for candidate in candidates
+                for node in routes.get((candidate, method_name, modifier), ())
+            )
+        return nodes
 
     def notify_observers(self, node: EventNode, occurrence, ctx) -> None:
         for observer in self.observers:
@@ -122,7 +161,6 @@ class EventGraph:
         if existing is not None and existing is not node:
             raise DuplicateEvent(f"event name {name!r} is already defined")
         self._by_name[name] = node
-        self.version += 1
 
     def define(self, name: str, node: EventNode) -> EventNode:
         """Bind ``name`` to an existing node (event reuse, paper §3.1)."""

@@ -57,34 +57,6 @@ class PrimitiveEventNode(EventNode):
     def is_class_level(self) -> bool:
         return self.instance is None
 
-    def matches(
-        self,
-        class_name: str,
-        method_name: str,
-        modifier: EventModifier,
-        instance: Any,
-    ) -> bool:
-        """Signature check performed when the detector routes a Notify.
-
-        "Once a primitive event node is notified it checks the method
-        signature with the one that has been sent" — plus the instance
-        identity for instance-level events.
-        """
-        if self.class_name != class_name:
-            return False
-        if self.method_name != method_name:
-            return False
-        if self.modifier is not modifier:
-            return False
-        if self.instance is not None and self.instance != instance:
-            return False
-        return True
-
-    def occur(self, occurrence: PrimitiveOccurrence) -> None:
-        """Fire this primitive event in every active context."""
-        for ctx in self.active_contexts():
-            self.signal(occurrence, ctx)
-
 
 class ExplicitEventNode(EventNode):
     """An abstract event raised explicitly by the application.
@@ -99,10 +71,6 @@ class ExplicitEventNode(EventNode):
 
     def __init__(self, graph: "EventGraph", name: str):
         super().__init__(graph, children=(), name=name)
-
-    def occur(self, occurrence: PrimitiveOccurrence) -> None:
-        for ctx in self.active_contexts():
-            self.signal(occurrence, ctx)
 
 
 class TemporalEventNode(EventNode):
@@ -158,8 +126,7 @@ class TemporalEventNode(EventNode):
             class_name="$TEMPORAL",
             arguments=(("time", when),),
         )
-        for ctx in self.active_contexts():
-            self.signal(occurrence, ctx)
+        self.occur(occurrence)
 
     def flush(self, ctx: Optional[ParameterContext] = None) -> None:
         # Temporal schedules survive transaction flushes; only pending

@@ -63,7 +63,7 @@ class Occurrence:
     ``__slots__`` is empty so the concrete occurrence dataclasses
     (declared with ``slots=True``) really are dict-free: a per-event
     ``__dict__`` would otherwise ride along via this base and defeat
-    the compiled dispatch path's no-dict-lookup layout.
+    the detection hot path's no-dict-lookup layout.
     """
 
     __slots__ = ()

@@ -31,7 +31,7 @@ from repro.telemetry.events import (
     RuleExecution,
     TraceEvent,
 )
-from repro.telemetry.processors import Histogram, TelemetryProcessor
+from repro.telemetry.processors import LogHistogram, TelemetryProcessor
 
 #: phases a rule execution is split into
 PHASES = ("condition", "action", "commit")
@@ -70,16 +70,24 @@ class RuleProfile:
     rejections: int = 0
     failures: int = 0
     slow: int = 0
-    total: Histogram = field(default_factory=lambda: Histogram("total"))
-    condition: Histogram = field(default_factory=lambda: Histogram("condition"))
-    action: Histogram = field(default_factory=lambda: Histogram("action"))
-    commit: Histogram = field(default_factory=lambda: Histogram("commit"))
+    total: LogHistogram = field(
+        default_factory=lambda: LogHistogram("total")
+    )
+    condition: LogHistogram = field(
+        default_factory=lambda: LogHistogram("condition")
+    )
+    action: LogHistogram = field(
+        default_factory=lambda: LogHistogram("action")
+    )
+    commit: LogHistogram = field(
+        default_factory=lambda: LogHistogram("commit")
+    )
 
     @property
     def total_ms(self) -> float:
         return self.total.total
 
-    def phase(self, name: str) -> Histogram:
+    def phase(self, name: str) -> LogHistogram:
         return {"condition": self.condition, "action": self.action,
                 "commit": self.commit}[name]
 
@@ -110,8 +118,8 @@ class NodeProfile:
     name: str
     operator: str = "EVENT"
     detections: dict[str, int] = field(default_factory=dict)
-    propagation: Histogram = field(
-        default_factory=lambda: Histogram("propagation")
+    propagation: LogHistogram = field(
+        default_factory=lambda: LogHistogram("propagation")
     )
 
     def to_dict(self) -> dict:

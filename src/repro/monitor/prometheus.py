@@ -23,7 +23,7 @@ import re
 from typing import Iterable, Optional
 
 from repro.core.contexts import ParameterContext
-from repro.telemetry.processors import Histogram, MetricsRegistry
+from repro.telemetry.processors import LogHistogram, MetricsRegistry
 
 _INVALID = re.compile(r"[^a-zA-Z0-9_]")
 
@@ -79,7 +79,7 @@ def render_gauge(name: str, value: int | float,
     return lines
 
 
-def render_histogram(name: str, histogram: Histogram,
+def render_histogram(name: str, histogram: LogHistogram,
                      labels: Optional[dict[str, str]] = None,
                      declare: bool = True) -> list[str]:
     """One histogram series (optionally labelled) as exposition lines."""

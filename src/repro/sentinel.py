@@ -313,8 +313,8 @@ class Sentinel(SentinelAPI):
 
     @property
     def dispatch(self) -> str:
-        """Which detection backend signals route through
-        (``"interpreted"`` or ``"compiled"``)."""
+        """Name of the one detection engine (read-only report; the
+        ``dispatch=`` constructor argument was removed)."""
         return self.detector.dispatch
 
     @property

@@ -236,10 +236,9 @@ class SentinelClient(SentinelAPI):
 
     @property
     def dispatch(self) -> str:
-        """The server system's detection engine, from the hello
-        exchange ("interpreted" or "compiled"); remote behavior is
-        identical under both."""
-        return self.server_info.get("dispatch", "interpreted")
+        """The server system's detection engine name, from the hello
+        exchange (informational; there is one engine)."""
+        return self.server_info.get("dispatch", "")
 
     @property
     def async_lane(self) -> bool:

@@ -403,9 +403,8 @@ class SentinelServer:
             "protocol": PROTOCOL_VERSION,
             "transport": transport,
             "transports": available_transports(),
-            # which detection engine the backing system runs
-            # ("interpreted" or "compiled") — informational: remote
-            # semantics are identical either way
+            # the detection engine's name (informational; there is
+            # one engine)
             "dispatch": self.system.dispatch,
             # capability flag: watch(executor="async") schedules the
             # recording rule on the system's asyncio lane

@@ -52,15 +52,11 @@ from repro.telemetry.hub import (
     TelemetrySpan,
     new_trace_id,
 )
-from repro.telemetry.latency import (
-    STAGES,
-    LogHistogram,
-    StageLatencyProcessor,
-)
+from repro.telemetry.latency import STAGES, StageLatencyProcessor
 from repro.telemetry.processors import (
     Counter,
     CounterProcessor,
-    Histogram,
+    LogHistogram,
     MetricsRegistry,
     TelemetryProcessor,
     TimingProcessor,
@@ -76,7 +72,6 @@ __all__ = [
     "TraceLogProcessor",
     "MetricsRegistry",
     "Counter",
-    "Histogram",
     "LogHistogram",
     "StageLatencyProcessor",
     "STAGES",

@@ -1,15 +1,7 @@
-"""Log-bucketed stage-latency histograms (HDR-style).
+"""Per-stage latency histograms (HDR-style).
 
-The fixed ten-bucket :class:`~repro.telemetry.processors.Histogram`
-is fine for coarse per-stage means, but lifecycle stages span five
-orders of magnitude — a wrapped ``notify`` costs ~1 µs while a
-detached-queue wait under load is tens of milliseconds — so percentile
-estimates need log-spaced buckets dense enough that the relative error
-is bounded by the bucket ratio. :class:`LogHistogram` uses power-of-two
-bounds from 1 µs to ~16 s (one bucket per octave, ≤2x relative error),
-which keeps `observe` a single bisect and the memory per stage at a
-few hundred bytes.
-
+Each stage is a :class:`~repro.telemetry.processors.LogHistogram`
+(power-of-two buckets, ≤2x relative error on percentiles).
 :class:`StageLatencyProcessor` maps trace events onto the canonical
 lifecycle stages of the paper's Figure 2 chain:
 
@@ -34,7 +26,6 @@ Attach it to a hub (``Sentinel(metrics=True)`` does, alongside the
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from typing import Callable
 
 from repro.telemetry.events import (
@@ -48,7 +39,7 @@ from repro.telemetry.events import (
     TraceEvent,
     WireRequest,
 )
-from repro.telemetry.processors import TelemetryProcessor
+from repro.telemetry.processors import LogHistogram, TelemetryProcessor
 
 #: canonical lifecycle stages, in pipeline order
 STAGES = (
@@ -62,77 +53,6 @@ STAGES = (
     "detached_wait",
     "wire",
 )
-
-
-class LogHistogram:
-    """Latency summary with power-of-two buckets from 1 µs to ~16 s.
-
-    Exposes the same attribute surface as
-    :class:`~repro.telemetry.processors.Histogram` (``BOUNDS`` /
-    ``buckets`` / ``count`` / ``total`` / ``min`` / ``max``), so the
-    Prometheus renderer consumes either interchangeably, plus
-    :meth:`percentile` estimation from the cumulative buckets.
-    """
-
-    __slots__ = ("name", "count", "total", "min", "max", "buckets")
-
-    #: upper bounds (ms): 0.001 · 2^i for i in 0..24; the last is +inf
-    BOUNDS = tuple(0.001 * 2.0 ** i for i in range(25))
-
-    def __init__(self, name: str):
-        self.name = name
-        self.count = 0
-        self.total = 0.0
-        self.min = float("inf")
-        self.max = 0.0
-        self.buckets = [0] * (len(self.BOUNDS) + 1)
-
-    def observe(self, value_ms: float) -> None:
-        self.count += 1
-        self.total += value_ms
-        if value_ms < self.min:
-            self.min = value_ms
-        if value_ms > self.max:
-            self.max = value_ms
-        self.buckets[bisect_left(self.BOUNDS, value_ms)] += 1
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    def percentile(self, q: float) -> float:
-        """The ``q``-quantile (``0 < q <= 1``), estimated from buckets.
-
-        Returns the upper bound of the bucket holding the target rank,
-        clamped to the observed maximum — so the estimate never exceeds
-        any value actually recorded, and the relative error is bounded
-        by the octave bucket ratio (≤2x).
-        """
-        if not self.count:
-            return 0.0
-        target = q * self.count
-        cumulative = 0
-        for bound, count in zip(self.BOUNDS, self.buckets):
-            cumulative += count
-            if cumulative >= target:
-                return min(bound, self.max)
-        return self.max
-
-    def summary(self) -> dict:
-        return {
-            "count": self.count,
-            "p50_ms": round(self.percentile(0.50), 4),
-            "p95_ms": round(self.percentile(0.95), 4),
-            "p99_ms": round(self.percentile(0.99), 4),
-            "mean_ms": round(self.mean, 4),
-            "max_ms": round(self.max, 4),
-        }
-
-    def __repr__(self) -> str:
-        return (
-            f"LogHistogram({self.name}, n={self.count}, "
-            f"p50={self.percentile(0.5):.3f}ms)"
-        )
 
 
 class StageLatencyProcessor(TelemetryProcessor):

@@ -71,13 +71,22 @@ class Counter:
         return f"Counter({self.name}={self.value})"
 
 
-class Histogram:
-    """Latency summary: count/total/min/max plus log-scale buckets."""
+class LogHistogram:
+    """Latency summary with power-of-two buckets from 1 µs to ~16 s.
+
+    Lifecycle stages span five orders of magnitude — a wrapped
+    ``notify`` costs ~1 µs while a detached-queue wait under load is
+    tens of milliseconds — so the buckets are one per octave (≤2x
+    relative error), which keeps :meth:`observe` a single bisect and
+    the memory per histogram at a few hundred bytes. Every registry,
+    profiler and stage histogram is one of these; the Prometheus
+    renderer reads ``BOUNDS`` / ``buckets`` / ``count`` / ``total``.
+    """
 
     __slots__ = ("name", "count", "total", "min", "max", "buckets")
 
-    #: upper bounds (ms) of the fixed buckets; the last is +inf
-    BOUNDS = (0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 10.0, 50.0, 100.0, 1000.0)
+    #: upper bounds (ms): 0.001 · 2^i for i in 0..24; the last is +inf
+    BOUNDS = tuple(0.001 * 2.0 ** i for i in range(25))
 
     def __init__(self, name: str):
         self.name = name
@@ -100,6 +109,24 @@ class Histogram:
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
 
+    def percentile(self, q: float) -> float:
+        """The ``q``-quantile (``0 < q <= 1``), estimated from buckets.
+
+        Returns the upper bound of the bucket holding the target rank,
+        clamped to the observed maximum — so the estimate never exceeds
+        any value actually recorded, and the relative error is bounded
+        by the octave bucket ratio (≤2x).
+        """
+        if not self.count:
+            return 0.0
+        target = q * self.count
+        cumulative = 0
+        for bound, count in zip(self.BOUNDS, self.buckets):
+            cumulative += count
+            if cumulative >= target:
+                return min(bound, self.max)
+        return self.max
+
     def summary(self) -> dict:
         return {
             "count": self.count,
@@ -107,10 +134,16 @@ class Histogram:
             "mean_ms": round(self.mean, 4),
             "min_ms": round(self.min, 4) if self.count else 0.0,
             "max_ms": round(self.max, 4),
+            "p50_ms": round(self.percentile(0.50), 4),
+            "p95_ms": round(self.percentile(0.95), 4),
+            "p99_ms": round(self.percentile(0.99), 4),
         }
 
     def __repr__(self) -> str:
-        return f"Histogram({self.name}, n={self.count}, mean={self.mean:.3f}ms)"
+        return (
+            f"LogHistogram({self.name}, n={self.count}, "
+            f"p50={self.percentile(0.5):.3f}ms)"
+        )
 
 
 class MetricsRegistry:
@@ -118,7 +151,7 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self.counters: dict[str, Counter] = {}
-        self.histograms: dict[str, Histogram] = {}
+        self.histograms: dict[str, LogHistogram] = {}
 
     def counter(self, name: str) -> Counter:
         counter = self.counters.get(name)
@@ -126,10 +159,10 @@ class MetricsRegistry:
             counter = self.counters[name] = Counter(name)
         return counter
 
-    def histogram(self, name: str) -> Histogram:
+    def histogram(self, name: str) -> LogHistogram:
         histogram = self.histograms.get(name)
         if histogram is None:
-            histogram = self.histograms[name] = Histogram(name)
+            histogram = self.histograms[name] = LogHistogram(name)
         return histogram
 
     def value(self, name: str, default: int = 0) -> int:

@@ -3,8 +3,7 @@
 The acceptance oracle is the synchronous interpreted scheduler: a rule
 set executed with ``executor="async"`` must trigger the same rules in
 the same order, apply the same error policy, and suppress condition
-side effects identically — across both dispatch engines and shard
-counts {1, 4}. On top of parity, the lane must deliver what threads
+side effects identically — at shard counts {1, 4}. On top of parity, the lane must deliver what threads
 cannot: actions of one priority class interleaving at ``await`` points
 on a single loop thread.
 """
@@ -74,14 +73,14 @@ class TestLaneSelection:
 # Parity with the synchronous oracle
 # =========================================================================
 
-def build_system(dispatch: str, shards: int, lane: str):
+def build_system(shards: int, lane: str):
     """A mixed graph with one recording rule per (expression, context)
     pair, plus one condition-rejecting and one failing rule, every rule
     in its own priority class so the execution order is fully
     deterministic on both lanes. ``abort_rule`` keeps the run going past
     the failures so they are compared too."""
     det = LocalEventDetector(
-        shards=shards, dispatch=dispatch, name=f"{dispatch}-{shards}-{lane}",
+        shards=shards, name=f"{shards}-{lane}",
         error_policy="abort_rule",
     )
     for name in "ab":
@@ -157,15 +156,14 @@ def drive(det) -> None:
         det.raise_event(name, n=i)
 
 
-@pytest.mark.parametrize("dispatch", ["interpreted", "compiled"])
 @pytest.mark.parametrize("shards", [1, 4])
-def test_async_lane_matches_the_sync_oracle(dispatch, shards):
+def test_async_lane_matches_the_sync_oracle(shards):
     """Same events, same graph: the async lane triggers exactly what
     the sync lane does, in the same order, in every parameter context —
     with the same stats, listener phases and recorded errors."""
-    oracle, oracle_hits, oracle_phases = build_system(dispatch, shards, "sync")
+    oracle, oracle_hits, oracle_phases = build_system(shards, "sync")
     candidate, candidate_hits, candidate_phases = build_system(
-        dispatch, shards, "async"
+        shards, "async"
     )
     drive(oracle)
     drive(candidate)

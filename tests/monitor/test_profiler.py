@@ -3,6 +3,7 @@
 import time
 
 from repro import Reactive, RuleProfiler, Sentinel, event
+from repro.telemetry.events import RuleExecution
 
 from tests.monitor.helpers import assert_valid_exposition
 
@@ -37,6 +38,36 @@ def run_portfolio(profiler_kwargs=None):
     for price in (90.0, 120.0):
         with system.transaction():
             stock.set_price(price)
+    return system, profiler
+
+
+#: the portfolio's rule executions over its two transactions, as
+#: (rule, outcome, condition_ms, action_ms, commit_ms): fixed phase
+#: durations, so the slow threshold sees the same figures on any host
+PORTFOLIO_EXECUTIONS = (
+    ("SlowAudit", "completed", 0.05, 20.0, 0.1),
+    ("FastCheck", "rejected", 0.02, 0.0, 0.1),
+    ("SlowCondition", "completed", 5.0, 0.01, 0.1),
+    ("SlowAudit", "completed", 0.05, 20.0, 0.1),
+    ("FastCheck", "completed", 0.02, 0.01, 0.1),
+    ("SlowCondition", "completed", 5.0, 0.01, 0.1),
+)
+
+
+def replay_portfolio(profiler_kwargs):
+    """The portfolio's executions, dispatched through a system's hub
+    to an attached profiler as ``RuleExecution`` spans."""
+    system = Sentinel(name="folio")
+    profiler = system.telemetry.attach(RuleProfiler(**profiler_kwargs))
+    for span_id, (rule, outcome, condition_ms, action_ms, commit_ms) in \
+            enumerate(PORTFOLIO_EXECUTIONS, start=1):
+        system.telemetry.dispatch(RuleExecution(
+            span_id=span_id, parent_span_id=None, at=float(span_id),
+            duration_ms=condition_ms + action_ms + commit_ms,
+            rule_name=rule, coupling="immediate", depth=1,
+            outcome=outcome, condition_ms=condition_ms,
+            commit_ms=commit_ms,
+        ))
     return system, profiler
 
 
@@ -88,7 +119,7 @@ class TestStockExampleAttribution:
 class TestSlowRuleDetection:
     def test_slow_threshold_records_and_callback(self):
         alerts = []
-        system, profiler = run_portfolio(
+        system, profiler = replay_portfolio(
             {"slow_ms": 10.0, "on_slow": alerts.append}
         )
         assert profiler.rules["SlowAudit"].slow == 2
@@ -101,7 +132,7 @@ class TestSlowRuleDetection:
         system.close()
 
     def test_slow_ring_is_bounded(self):
-        system, profiler = run_portfolio({"slow_ms": 10.0, "max_slow": 1})
+        system, profiler = replay_portfolio({"slow_ms": 10.0, "max_slow": 1})
         assert len(profiler.slow_records) == 1
         system.close()
 

@@ -8,7 +8,7 @@ from repro.monitor.prometheus import (
     render_registry,
     sanitize,
 )
-from repro.telemetry.processors import Histogram, MetricsRegistry
+from repro.telemetry.processors import LogHistogram, MetricsRegistry
 
 from tests.monitor.helpers import assert_valid_exposition
 
@@ -32,21 +32,21 @@ class TestNameHandling:
 
 class TestHistogramRendering:
     def test_buckets_are_cumulative_with_inf_overflow(self):
-        histogram = Histogram("x")
-        histogram.observe(0.02)   # falls in the 0.05 bucket
+        histogram = LogHistogram("x")
+        histogram.observe(0.02)   # falls in the 0.032 bucket
         histogram.observe(0.02)
-        histogram.observe(2000.0)  # beyond the last bound -> +Inf only
+        histogram.observe(20000.0)  # beyond the last bound -> +Inf only
         lines = render_histogram("lat_ms", histogram)
         assert lines[0] == "# TYPE lat_ms histogram"
-        assert 'lat_ms_bucket{le="0.01"} 0' in lines
-        assert 'lat_ms_bucket{le="0.05"} 2' in lines
-        assert 'lat_ms_bucket{le="1000"} 2' in lines
+        assert 'lat_ms_bucket{le="0.016"} 0' in lines
+        assert 'lat_ms_bucket{le="0.032"} 2' in lines
+        assert 'lat_ms_bucket{le="16777.216"} 2' in lines
         assert 'lat_ms_bucket{le="+Inf"} 3' in lines
         assert "lat_ms_count 3" in lines
         assert any(line.startswith("lat_ms_sum ") for line in lines)
 
     def test_labelled_series_share_one_declaration(self):
-        h1, h2 = Histogram("a"), Histogram("b")
+        h1, h2 = LogHistogram("a"), LogHistogram("b")
         h1.observe(1.0)
         h2.observe(2.0)
         lines = render_histogram("f_ms", h1, labels={"rule": "R1"})

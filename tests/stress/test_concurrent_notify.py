@@ -169,3 +169,33 @@ def test_concurrent_raises_with_detached_rules():
         assert system.detached.stats.errors == 0
     finally:
         system.close()
+
+
+@pytest.mark.parametrize("shards", [1, 4])
+def test_registration_racing_notify_keeps_every_route(shards):
+    """Threads define instance-level events on one shared signature while
+    notifying it: no registration may be lost from the route table."""
+    import sys
+
+    class Account:
+        pass
+
+    det = LocalEventDetector(shards=shards)
+    accounts = [[Account() for __ in range(40)] for __ in range(THREADS)]
+
+    def worker(index):
+        for k, account in enumerate(accounts[index]):
+            det.primitive_event(f"dep{index}_{k}", account, "end", "deposit")
+            det.notify(account, "Account", "deposit", "end", {})
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        run_threads(worker)
+    finally:
+        sys.setswitchinterval(previous)
+
+    for index, mine in enumerate(accounts):
+        for k, account in enumerate(mine):
+            occurrences = det.notify(account, "Account", "deposit", "end", {})
+            assert [o.event_name for o in occurrences] == [f"dep{index}_{k}"]
